@@ -2,7 +2,93 @@ use std::collections::HashMap;
 
 use bp_trace::fx::FxHashMap;
 use bp_trace::io::TraceIoError;
-use bp_trace::{InstanceTag, PathWindow, Pc, TagScheme, Trace, TraceSource};
+use bp_trace::{
+    scan_sharded, shard_of, BranchRecord, InstanceTag, PathWindow, Pc, TagScheme, Trace,
+    TraceSource,
+};
+
+/// Dense per-prior-pc rows over one branch's view of the path: a row of
+/// `2 × window` cells per prior pc, indexed `[scheme][index]`.
+///
+/// Every index a window of length W gives is below W, so one row covers
+/// every tag of one prior pc and the pc → row lookup is the only hashing,
+/// once per window entry. Both the candidate counts and the outcome
+/// matrix's column lookup use this layout.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotRows<T> {
+    window: usize,
+    fill: T,
+    /// Start of each pc's row in `cells`.
+    rows: FxHashMap<Pc, usize>,
+    cells: Vec<T>,
+}
+
+impl<T: Copy> SlotRows<T> {
+    /// Empty rows for a window of `window` branches; new cells hold `fill`.
+    pub(crate) fn new(window: usize, fill: T) -> Self {
+        SlotRows {
+            window,
+            fill,
+            rows: FxHashMap::default(),
+            cells: Vec::new(),
+        }
+    }
+
+    /// The row of `pc`, added on first use.
+    #[inline]
+    pub(crate) fn row_mut(&mut self, pc: Pc) -> &mut [T] {
+        let width = 2 * self.window;
+        let start = match self.rows.get(&pc) {
+            Some(&start) => start,
+            None => {
+                let start = self.cells.len();
+                self.rows.insert(pc, start);
+                self.cells.resize(start + width, self.fill);
+                start
+            }
+        };
+        &mut self.cells[start..start + width]
+    }
+
+    /// The row of `pc`, if it has one.
+    #[inline]
+    pub(crate) fn row(&self, pc: Pc) -> Option<&[T]> {
+        let start = *self.rows.get(&pc)?;
+        Some(&self.cells[start..start + 2 * self.window])
+    }
+
+    /// Position of the cell for instance `index` under `scheme` within a
+    /// row.
+    #[inline]
+    pub(crate) fn cell(&self, scheme: TagScheme, index: u16) -> usize {
+        let index = usize::from(index);
+        debug_assert!(index < self.window, "tag index beyond the window");
+        match scheme {
+            TagScheme::Occurrence => index,
+            TagScheme::Iteration => self.window + index,
+        }
+    }
+
+    /// Every cell with the tag it stands for, row by row in no
+    /// particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (InstanceTag, T)> + '_ {
+        let w = self.window;
+        self.rows.iter().flat_map(move |(&pc, &start)| {
+            self.cells[start..start + 2 * w]
+                .iter()
+                .enumerate()
+                .map(move |(i, &v)| {
+                    let index = (i % w) as u16;
+                    let tag = if i < w {
+                        InstanceTag::occurrence(pc, index)
+                    } else {
+                        InstanceTag::iteration(pc, index)
+                    };
+                    (tag, v)
+                })
+        })
+    }
+}
 
 /// The candidate correlated-branch instances considered for each static
 /// branch.
@@ -70,26 +156,12 @@ impl TagCandidates {
     ) -> Result<Self, TraceIoError> {
         assert!(cap > 0, "candidate cap must be positive");
         assert!(!schemes.is_empty(), "need at least one tagging scheme");
-        let mut counts: FxHashMap<Pc, FxHashMap<InstanceTag, u64>> = FxHashMap::default();
-        let mut path = PathWindow::new(window);
-        let mut visible = Vec::new();
+        let mut counter = VisibilityCounter::new(window, 0, 1);
         source.scan(&mut |chunk| {
-            for rec in chunk {
-                if rec.is_conditional() {
-                    path.visible_tags(&mut visible);
-                    let branch_counts = counts.entry(rec.pc).or_default();
-                    for (tag, _) in &visible {
-                        if schemes.contains(&tag.scheme) {
-                            *branch_counts.entry(*tag).or_insert(0) += 1;
-                        }
-                    }
-                }
-                path.push(rec);
-            }
+            counter.scan(chunk);
         })?;
-
         Ok(TagCandidates {
-            per_branch: rank_counts(counts, cap).collect(),
+            per_branch: rank_counts(counter.counts, cap, schemes).collect(),
         })
     }
 
@@ -117,29 +189,16 @@ impl TagCandidates {
         assert!(cap > 0, "candidate cap must be positive");
         assert!(!schemes.is_empty(), "need at least one tagging scheme");
         let shards = shards.max(1);
-        let parts = bp_trace::scan_sharded(source, shards, |shard, chunks| {
-            let mut counts: FxHashMap<Pc, FxHashMap<InstanceTag, u64>> = FxHashMap::default();
-            let mut path = PathWindow::new(window);
-            let mut visible = Vec::new();
+        let parts = scan_sharded(source, shards, |shard, chunks| {
+            let mut counter = VisibilityCounter::new(window, shard, shards);
             for chunk in chunks {
-                for rec in chunk.iter() {
-                    if rec.is_conditional() && bp_trace::shard_of(rec.pc, shards) == shard {
-                        path.visible_tags(&mut visible);
-                        let branch_counts = counts.entry(rec.pc).or_default();
-                        for (tag, _) in &visible {
-                            if schemes.contains(&tag.scheme) {
-                                *branch_counts.entry(*tag).or_insert(0) += 1;
-                            }
-                        }
-                    }
-                    path.push(rec);
-                }
+                counter.scan(&chunk);
             }
-            counts
+            counter.counts
         })?;
         let mut per_branch = HashMap::new();
         for counts in parts {
-            per_branch.extend(rank_counts(counts, cap));
+            per_branch.extend(rank_counts(counts, cap, schemes));
         }
         Ok(TagCandidates { per_branch })
     }
@@ -161,15 +220,63 @@ impl TagCandidates {
     }
 }
 
+/// The per-record visibility-counting kernel behind both builders: a
+/// path window over every record, counting the visible tags of each
+/// conditional branch the shard owns.
+struct VisibilityCounter {
+    path: PathWindow,
+    shard: usize,
+    shards: usize,
+    counts: FxHashMap<Pc, SlotRows<u64>>,
+}
+
+impl VisibilityCounter {
+    fn new(window: usize, shard: usize, shards: usize) -> Self {
+        VisibilityCounter {
+            path: PathWindow::new(window),
+            shard,
+            shards,
+            counts: FxHashMap::default(),
+        }
+    }
+
+    fn scan(&mut self, records: &[BranchRecord]) {
+        for rec in records {
+            if rec.is_conditional() && shard_of(rec.pc, self.shards) == self.shard {
+                let window = self.path.capacity();
+                let rows = self
+                    .counts
+                    .entry(rec.pc)
+                    .or_insert_with(|| SlotRows::new(window, 0));
+                for e in self.path.entries() {
+                    let occurrence = rows.cell(TagScheme::Occurrence, e.occurrence());
+                    let iteration = e.iteration().map(|i| rows.cell(TagScheme::Iteration, i));
+                    let row = rows.row_mut(e.pc);
+                    row[occurrence] += 1;
+                    if let Some(c) = iteration {
+                        row[c] += 1;
+                    }
+                }
+            }
+            self.path.push(rec);
+        }
+    }
+}
+
 /// Ranks raw visibility counts into capped candidate lists — the one
-/// place the (count desc, tag asc) ordering lives, shared by the serial
-/// and sharded builders so their outputs cannot drift.
-fn rank_counts(
-    counts: FxHashMap<Pc, FxHashMap<InstanceTag, u64>>,
+/// place the (count desc, tag asc) ordering and the scheme restriction
+/// live, shared by the serial and sharded builders so their outputs
+/// cannot drift.
+fn rank_counts<'a>(
+    counts: FxHashMap<Pc, SlotRows<u64>>,
     cap: usize,
-) -> impl Iterator<Item = (Pc, Vec<InstanceTag>)> {
-    counts.into_iter().map(move |(pc, tag_counts)| {
-        let mut ranked: Vec<(InstanceTag, u64)> = tag_counts.into_iter().collect();
+    schemes: &'a [TagScheme],
+) -> impl Iterator<Item = (Pc, Vec<InstanceTag>)> + 'a {
+    counts.into_iter().map(move |(pc, rows)| {
+        let mut ranked: Vec<(InstanceTag, u64)> = rows
+            .iter()
+            .filter(|(tag, count)| *count > 0 && schemes.contains(&tag.scheme))
+            .collect();
         ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         ranked.truncate(cap);
         (pc, ranked.into_iter().map(|(tag, _)| tag).collect())

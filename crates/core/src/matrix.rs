@@ -1,10 +1,11 @@
 use bp_trace::fx::FxHashMap;
 use bp_trace::io::TraceIoError;
 use bp_trace::{
-    scan_sharded, shard_of, InstanceTag, PathWindow, Pc, TagOutcome, Trace, TraceSource, Words,
+    scan_sharded, shard_of, BranchRecord, InstanceTag, PathWindow, Pc, TagOutcome, TagScheme,
+    Trace, TraceSource, Words,
 };
 
-use crate::candidates::TagCandidates;
+use crate::candidates::{SlotRows, TagCandidates};
 
 /// For one static branch: the ternary outcome of every candidate tag at
 /// every dynamic execution, stored as packed bit-planes.
@@ -39,14 +40,9 @@ fn get_bit(plane: &[u64], i: usize) -> bool {
     plane[i / 64] >> (i % 64) & 1 == 1
 }
 
-#[inline]
-fn set_bit(plane: &mut [u64], i: usize) {
-    plane[i / 64] |= 1u64 << (i % 64);
-}
-
 impl BranchMatrix {
     /// An empty matrix for `tags` columns, ready for
-    /// [`BranchMatrix::push_execution`] calls.
+    /// [`BranchMatrix::push_block`] calls.
     pub(crate) fn with_tags(tags: Vec<InstanceTag>) -> Self {
         let columns = tags.len();
         BranchMatrix {
@@ -113,30 +109,19 @@ impl BranchMatrix {
         }
     }
 
-    /// Appends one execution: the branch outcome plus the resolved tag
-    /// outcomes, as `(column, taken)` pairs for the candidates that were in
-    /// the path (every other column records not-in-path).
-    pub(crate) fn push_execution(
-        &mut self,
-        taken: bool,
-        in_path: impl Iterator<Item = (usize, bool)>,
-    ) {
-        let e = self.executions;
-        self.executions += 1;
-        if e.is_multiple_of(64) {
-            self.taken.vec_mut().push(0);
-            for plane in self.inpath.iter_mut().chain(self.dir.iter_mut()) {
-                plane.vec_mut().push(0);
-            }
+    /// Appends one packed block of `rows` (1..=64) executions: the
+    /// branch's outcome word plus each column's in-path and direction
+    /// words, bit `i` standing for the block's `i`-th execution.
+    pub(crate) fn push_block(&mut self, rows: usize, taken: u64, inpath: &[u64], dir: &[u64]) {
+        debug_assert!((1..=64).contains(&rows));
+        debug_assert!(self.executions.is_multiple_of(64));
+        self.executions += rows;
+        self.taken.vec_mut().push(taken);
+        for (plane, &word) in self.inpath.iter_mut().zip(inpath) {
+            plane.vec_mut().push(word);
         }
-        if taken {
-            set_bit(self.taken.vec_mut(), e);
-        }
-        for (c, tag_taken) in in_path {
-            set_bit(self.inpath[c].vec_mut(), e);
-            if tag_taken {
-                set_bit(self.dir[c].vec_mut(), e);
-            }
+        for (plane, &word) in self.dir.iter_mut().zip(dir) {
+            plane.vec_mut().push(word);
         }
     }
 
@@ -248,35 +233,12 @@ impl OutcomeMatrix {
         candidates: &TagCandidates,
         window: usize,
     ) -> Result<Self, TraceIoError> {
-        let mut builders: FxHashMap<Pc, (BranchMatrix, FxHashMap<InstanceTag, usize>)> = candidates
-            .iter()
-            .map(|(pc, tags)| {
-                let columns: FxHashMap<InstanceTag, usize> =
-                    tags.iter().enumerate().map(|(c, tag)| (*tag, c)).collect();
-                (pc, (BranchMatrix::with_tags(tags.to_vec()), columns))
-            })
-            .collect();
-
-        let mut path = PathWindow::new(window);
-        let mut visible = Vec::new();
+        let mut packer = PlanePacker::new(candidates, window, 0, 1);
         source.scan(&mut |chunk| {
-            for rec in chunk {
-                if rec.is_conditional() {
-                    if let Some((bm, columns)) = builders.get_mut(&rec.pc) {
-                        path.visible_tags(&mut visible);
-                        bm.push_execution(
-                            rec.taken,
-                            visible
-                                .iter()
-                                .filter_map(|(tag, taken)| columns.get(tag).map(|&c| (c, *taken))),
-                        );
-                    }
-                }
-                path.push(rec);
-            }
+            packer.scan(chunk);
         })?;
         Ok(OutcomeMatrix {
-            branches: builders.into_iter().map(|(pc, (bm, _))| (pc, bm)).collect(),
+            branches: packer.finish().collect(),
             window,
         })
     }
@@ -284,9 +246,9 @@ impl OutcomeMatrix {
     /// As [`OutcomeMatrix::build_from_source`], built with the pipelined
     /// chunk executor: one scan, `shards` workers each replicating the
     /// [`PathWindow`] over the full record sequence but packing planes
-    /// only for the branches their shard owns. The per-branch loop is the
-    /// serial one verbatim, and the partial maps are disjoint by PC, so
-    /// the merged matrix is identical for every shard count.
+    /// only for the branches their shard owns. Every worker runs the
+    /// serial per-record kernel, and the partial maps are disjoint by PC,
+    /// so the merged matrix is identical for every shard count.
     ///
     /// # Errors
     ///
@@ -299,41 +261,16 @@ impl OutcomeMatrix {
     ) -> Result<Self, TraceIoError> {
         let shards = shards.max(1);
         let parts = scan_sharded(source, shards, |shard, chunks| {
-            let mut builders: FxHashMap<Pc, (BranchMatrix, FxHashMap<InstanceTag, usize>)> =
-                candidates
-                    .iter()
-                    .filter(|&(pc, _)| shard_of(pc, shards) == shard)
-                    .map(|(pc, tags)| {
-                        let columns: FxHashMap<InstanceTag, usize> =
-                            tags.iter().enumerate().map(|(c, tag)| (*tag, c)).collect();
-                        (pc, (BranchMatrix::with_tags(tags.to_vec()), columns))
-                    })
-                    .collect();
-            let mut path = PathWindow::new(window);
-            let mut visible = Vec::new();
+            let mut packer = PlanePacker::new(candidates, window, shard, shards);
             for chunk in chunks {
-                for rec in chunk.iter() {
-                    if rec.is_conditional() {
-                        if let Some((bm, columns)) = builders.get_mut(&rec.pc) {
-                            path.visible_tags(&mut visible);
-                            bm.push_execution(
-                                rec.taken,
-                                visible.iter().filter_map(|(tag, taken)| {
-                                    columns.get(tag).map(|&c| (c, *taken))
-                                }),
-                            );
-                        }
-                    }
-                    path.push(rec);
-                }
+                packer.scan(&chunk);
             }
-            builders
+            packer.finish().collect::<Vec<_>>()
         })?;
-        let mut branches: FxHashMap<Pc, BranchMatrix> = FxHashMap::default();
-        for part in parts {
-            branches.extend(part.into_iter().map(|(pc, (bm, _))| (pc, bm)));
-        }
-        Ok(OutcomeMatrix { branches, window })
+        Ok(OutcomeMatrix {
+            branches: parts.into_iter().flatten().collect(),
+            window,
+        })
     }
 
     /// Assembles a matrix from per-branch parts (the sweep artifact's
@@ -365,6 +302,122 @@ impl OutcomeMatrix {
     /// Total dynamic executions covered (sum of rows over all branches).
     pub fn dynamic_count(&self) -> u64 {
         self.branches.values().map(|m| m.executions() as u64).sum()
+    }
+}
+
+/// The per-record plane-packing kernel behind both matrix builders: a
+/// path window over every record, packing the candidate outcomes of each
+/// conditional branch the shard owns.
+struct PlanePacker {
+    path: PathWindow,
+    branches: FxHashMap<Pc, BranchPacker>,
+}
+
+impl PlanePacker {
+    fn new(candidates: &TagCandidates, window: usize, shard: usize, shards: usize) -> Self {
+        PlanePacker {
+            path: PathWindow::new(window),
+            branches: candidates
+                .iter()
+                .filter(|&(pc, _)| shard_of(pc, shards) == shard)
+                .map(|(pc, tags)| (pc, BranchPacker::new(tags, window)))
+                .collect(),
+        }
+    }
+
+    fn scan(&mut self, records: &[BranchRecord]) {
+        for rec in records {
+            if rec.is_conditional() {
+                if let Some(branch) = self.branches.get_mut(&rec.pc) {
+                    branch.push_execution(rec.taken, &self.path);
+                }
+            }
+            self.path.push(rec);
+        }
+    }
+
+    fn finish(self) -> impl Iterator<Item = (Pc, BranchMatrix)> {
+        self.branches
+            .into_iter()
+            .map(|(pc, branch)| (pc, branch.finish()))
+    }
+}
+
+/// Packs one branch's planes a 64-execution block at a time: bits are set
+/// in block-local words, and whole words are appended to the planes when
+/// the block fills.
+struct BranchPacker {
+    matrix: BranchMatrix,
+    /// Column of every candidate tag; every other cell holds the spare
+    /// column `tags.len()`, whose block words are written and discarded.
+    columns: SlotRows<u32>,
+    executions: usize,
+    taken: u64,
+    inpath: Vec<u64>,
+    dir: Vec<u64>,
+}
+
+impl BranchPacker {
+    fn new(tags: &[InstanceTag], window: usize) -> Self {
+        let column = |c: usize| u32::try_from(c).expect("candidate columns fit in u32");
+        let spare = tags.len();
+        let mut columns = SlotRows::new(window, column(spare));
+        for (c, &tag) in tags.iter().enumerate() {
+            let cell = columns.cell(tag.scheme, tag.index);
+            columns.row_mut(tag.pc)[cell] = column(c);
+        }
+        BranchPacker {
+            matrix: BranchMatrix::with_tags(tags.to_vec()),
+            columns,
+            executions: 0,
+            taken: 0,
+            inpath: vec![0; spare + 1],
+            dir: vec![0; spare + 1],
+        }
+    }
+
+    fn push_execution(&mut self, taken: bool, path: &PathWindow) {
+        let shift = self.executions % 64;
+        for e in path.entries() {
+            let Some(row) = self.columns.row(e.pc) else {
+                continue;
+            };
+            let dir = u64::from(e.taken) << shift;
+            let c = row[self.columns.cell(TagScheme::Occurrence, e.occurrence())] as usize;
+            self.inpath[c] |= 1 << shift;
+            self.dir[c] |= dir;
+            if let Some(i) = e.iteration() {
+                let c = row[self.columns.cell(TagScheme::Iteration, i)] as usize;
+                self.inpath[c] |= 1 << shift;
+                self.dir[c] |= dir;
+            }
+        }
+        self.taken |= u64::from(taken) << shift;
+        self.executions += 1;
+        if shift == 63 {
+            self.flush(64);
+        }
+    }
+
+    fn flush(&mut self, rows: usize) {
+        let columns = self.inpath.len() - 1;
+        self.matrix.push_block(
+            rows,
+            self.taken,
+            &self.inpath[..columns],
+            &self.dir[..columns],
+        );
+        self.taken = 0;
+        self.inpath.fill(0);
+        self.dir.fill(0);
+    }
+
+    fn finish(mut self) -> BranchMatrix {
+        let rows = self.executions % 64;
+        if rows > 0 {
+            self.flush(rows);
+        }
+        self.matrix
     }
 }
 

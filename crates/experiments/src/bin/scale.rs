@@ -36,7 +36,7 @@ use bp_core::{
 use bp_experiments::artifacts::{matrix_config_fp, streams_config_fp, ArtifactStore};
 use bp_experiments::cli::parse_target;
 use bp_experiments::TraceSet;
-use bp_trace::{BranchStreams, TagScheme};
+use bp_trace::{BranchStreams, TagScheme, MAX_WINDOW};
 use bp_workloads::{Benchmark, WorkloadConfig};
 
 fn usage() {
@@ -143,9 +143,9 @@ fn main() -> ExitCode {
             "--materialized" => materialized = true,
             "--skip-oracle" => skip_oracle = true,
             "--oracle-window" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => oracle_cfg.window = n,
+                Some(n) if (1..=MAX_WINDOW).contains(&n) => oracle_cfg.window = n,
                 _ => {
-                    eprintln!("error: --oracle-window needs a positive length");
+                    eprintln!("error: --oracle-window needs a length in 1..={MAX_WINDOW}");
                     usage();
                     return ExitCode::FAILURE;
                 }

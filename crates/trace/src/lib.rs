@@ -78,4 +78,4 @@ pub use stats::TraceStats;
 pub use streams::{BranchStreams, OutcomeStream, StreamRuns, StreamSink};
 pub use tag::{pattern_count, pattern_index, InstanceTag, TagOutcome, TagScheme};
 pub use trace::Trace;
-pub use window::{PathWindow, WindowEntry};
+pub use window::{PathWindow, WindowEntry, MAX_WINDOW};

@@ -1,20 +1,56 @@
-use std::collections::VecDeque;
-
 use crate::record::{BranchRecord, Pc};
 use crate::tag::{InstanceTag, TagScheme};
 
-/// One prior conditional branch held in a [`PathWindow`].
+/// One prior conditional branch held in a [`PathWindow`], with the names
+/// the window currently gives it under both tagging schemes.
+///
+/// Both indices are kept up to date on every [`PathWindow::push`], so
+/// naming an entry is a field read, never a scan of its neighbours.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowEntry {
     /// Static address of the branch.
     pub pc: Pc,
     /// Its outcome.
     pub taken: bool,
-    /// Whether it was a backward branch (loop back-edge).
-    pub backward: bool,
-    /// Total backward branches pushed up to and including this entry.
-    backward_through: u64,
+    /// More-recent entries with the same pc.
+    occurrence: u16,
+    /// Backward branches (loop back-edges) pushed after this entry.
+    iteration: u16,
+    /// A more-recent entry has the same pc and the same iteration index,
+    /// so that one owns the iteration name.
+    shadowed: bool,
 }
+
+impl WindowEntry {
+    /// The [`TagScheme::Occurrence`] index: 0 for the most recent instance
+    /// of this pc, 1 for the one before it, and so on.
+    #[inline]
+    pub fn occurrence(&self) -> u16 {
+        self.occurrence
+    }
+
+    /// The [`TagScheme::Iteration`] index: backward branches executed
+    /// since this instance. `None` when a more recent instance of the same
+    /// pc has the same count (no back-edge between them): the most recent
+    /// instance wins, so each tag names at most one entry.
+    #[inline]
+    pub fn iteration(&self) -> Option<u16> {
+        (!self.shadowed).then_some(self.iteration)
+    }
+
+    /// This entry's index under `scheme`.
+    #[inline]
+    fn index(&self, scheme: TagScheme) -> Option<u16> {
+        match scheme {
+            TagScheme::Occurrence => Some(self.occurrence),
+            TagScheme::Iteration => self.iteration(),
+        }
+    }
+}
+
+/// Largest supported [`PathWindow`] capacity: every index a window can
+/// name is below its capacity, and indices are `u16`.
+pub const MAX_WINDOW: usize = 1 << 16;
 
 /// Sliding window over the last *n* conditional branches — the "path leading
 /// up to the current branch" of paper §3.1/§3.2.
@@ -28,6 +64,13 @@ pub struct WindowEntry {
 /// a two-level predictor records conditional outcomes, and those are the
 /// instances whose directions can correlate. (Calls/returns influence the
 /// path only through the conditionals executed inside them.)
+///
+/// Names are maintained incrementally: each [`PathWindow::push`] makes one
+/// branch-free pass over the held entries, bumping the occurrence index of
+/// same-pc entries, the iteration index of all entries when the pushed
+/// branch is a back-edge, and marking same-pc entries the new one shadows.
+/// Reading the names ([`PathWindow::entries`], [`PathWindow::visible_tags`])
+/// is then one walk with no allocation.
 ///
 /// Usage order matters: query the window for the context of a branch
 /// *before* pushing that branch's own record.
@@ -50,8 +93,13 @@ pub struct WindowEntry {
 #[derive(Debug, Clone)]
 pub struct PathWindow {
     capacity: usize,
-    entries: VecDeque<WindowEntry>,
-    backward_total: u64,
+    /// Ring of held entries. Until the window first fills (or after a
+    /// [`PathWindow::clear`]) it is filled in push order from slot 0, so
+    /// the held entries are always exactly `slots[..]`.
+    slots: Vec<WindowEntry>,
+    /// The slot the next push overwrites once full: the oldest entry.
+    /// Zero while filling.
+    next: usize,
 }
 
 impl PathWindow {
@@ -59,13 +107,18 @@ impl PathWindow {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or above [`MAX_WINDOW`] (indices are
+    /// `u16`, and a longer window would alias distinct instances).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "path window capacity must be positive");
+        assert!(
+            capacity <= MAX_WINDOW,
+            "path window capacity must be at most {MAX_WINDOW}"
+        );
         PathWindow {
             capacity,
-            entries: VecDeque::with_capacity(capacity),
-            backward_total: 0,
+            slots: Vec::with_capacity(capacity),
+            next: 0,
         }
     }
 
@@ -76,17 +129,18 @@ impl PathWindow {
 
     /// Number of prior branches currently visible (≤ capacity).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// `true` when no branch has been pushed yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
-    /// Forgets all history (the backward-branch clock keeps running).
+    /// Forgets all history.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.slots.clear();
+        self.next = 0;
     }
 
     /// Pushes a record. Non-conditional records are ignored.
@@ -94,48 +148,53 @@ impl PathWindow {
         if !rec.is_conditional() {
             return;
         }
-        if rec.is_backward() {
-            self.backward_total += 1;
+        let back = u16::from(rec.is_backward());
+        // One branch-free pass renames every held entry. When full, the
+        // oldest entry is renamed too and then overwritten; its indices may
+        // wrap at the maximum capacity, harmlessly.
+        for e in &mut self.slots {
+            let same = e.pc == rec.pc;
+            e.occurrence = e.occurrence.wrapping_add(u16::from(same));
+            e.iteration = e.iteration.wrapping_add(back);
+            e.shadowed |= same & (e.iteration == 0);
         }
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
-        }
-        self.entries.push_back(WindowEntry {
+        let entry = WindowEntry {
             pc: rec.pc,
             taken: rec.taken,
-            backward: rec.is_backward(),
-            backward_through: self.backward_total,
-        });
+            occurrence: 0,
+            iteration: 0,
+            shadowed: false,
+        };
+        if self.slots.len() < self.capacity {
+            self.slots.push(entry);
+        } else {
+            self.slots[self.next] = entry;
+            self.next = (self.next + 1) % self.capacity;
+        }
     }
 
-    /// Backward branches executed strictly after `entry`, i.e. between the
-    /// entry and the present — the [`TagScheme::Iteration`] index.
+    /// The held entries, most recent first — the order occurrence indices
+    /// count in.
     #[inline]
-    fn backwards_since(&self, entry: &WindowEntry) -> u64 {
-        self.backward_total - entry.backward_through
+    pub fn entries(&self) -> impl Iterator<Item = &WindowEntry> {
+        let (older, newer) = self.slots.split_at(self.next);
+        older.iter().rev().chain(newer.iter().rev())
+    }
+
+    /// Most-recent-first position and entry the tag names, if visible.
+    fn find(&self, tag: InstanceTag) -> Option<(usize, &WindowEntry)> {
+        self.entries()
+            .enumerate()
+            .find(|(_, e)| e.pc == tag.pc && e.index(tag.scheme) == Some(tag.index))
     }
 
     /// Looks up the outcome of a single tagged instance, or `None` when the
     /// instance is not in the path.
     ///
     /// For bulk queries prefer [`PathWindow::visible_tags`], which costs one
-    /// window scan for all tags.
+    /// window walk for all tags.
     pub fn lookup(&self, tag: InstanceTag) -> Option<bool> {
-        match tag.scheme {
-            TagScheme::Occurrence => self
-                .entries
-                .iter()
-                .rev()
-                .filter(|e| e.pc == tag.pc)
-                .nth(tag.index as usize)
-                .map(|e| e.taken),
-            TagScheme::Iteration => self
-                .entries
-                .iter()
-                .rev()
-                .find(|e| e.pc == tag.pc && self.backwards_since(e) == u64::from(tag.index))
-                .map(|e| e.taken),
-        }
+        self.find(tag).map(|(_, e)| e.taken)
     }
 
     /// The distance, in branches, from the present to the tagged instance:
@@ -146,36 +205,18 @@ impl PathWindow {
     /// sits, and hence how much history a real predictor would need to
     /// reach it.
     pub fn distance(&self, tag: InstanceTag) -> Option<usize> {
-        let position =
-            match tag.scheme {
-                TagScheme::Occurrence => {
-                    let mut seen = 0u16;
-                    self.entries.iter().rev().position(|e| {
-                        if e.pc == tag.pc {
-                            let hit = seen == tag.index;
-                            seen += 1;
-                            hit
-                        } else {
-                            false
-                        }
-                    })
-                }
-                TagScheme::Iteration => self.entries.iter().rev().position(|e| {
-                    e.pc == tag.pc && self.backwards_since(e) == u64::from(tag.index)
-                }),
-            };
-        position.map(|p| p + 1)
+        self.find(tag).map(|(back, _)| back + 1)
     }
 
     /// Appends every visible `(tag, outcome)` pair — both schemes — to
     /// `out`, clearing it first.
     ///
-    /// Under [`TagScheme::Iteration`] two instances of the same static
-    /// branch can collide on the same backward-branch count (no back-edge
-    /// executed between them); the **most recent** instance wins, so each
-    /// tag appears at most once in `out`. Iteration indices that overflow
-    /// `u16` (pathological: >65535 back-edges inside one window) are
-    /// omitted.
+    /// Entries are listed most recent first, each with its occurrence tag
+    /// and then, unless shadowed, its iteration tag. Under
+    /// [`TagScheme::Iteration`] two instances of the same static branch can
+    /// collide on the same backward-branch count (no back-edge executed
+    /// between them); the **most recent** instance wins, so each tag
+    /// appears at most once in `out`.
     pub fn visible_tags(&self, out: &mut Vec<(InstanceTag, bool)>) {
         out.clear();
         self.scan_visible(|tag, taken, _| out.push((tag, taken)));
@@ -196,39 +237,16 @@ impl PathWindow {
         self.scan_visible(|tag, taken, distance| out.push((tag, taken, distance)));
     }
 
-    /// Most-recent-first scan naming every visible instance under both
-    /// schemes; occurrence counting needs that order and it makes "most
-    /// recent wins" the natural first-hit rule for iteration collisions.
     fn scan_visible(&self, mut emit: impl FnMut(InstanceTag, bool, usize)) {
-        let mut seen_iteration: Vec<(Pc, u64)> = Vec::with_capacity(self.entries.len());
-        let mut occurrence_counts: Vec<(Pc, u16)> = Vec::with_capacity(self.entries.len());
-        for (back, e) in self.entries.iter().rev().enumerate() {
+        for (back, e) in self.entries().enumerate() {
             let distance = back + 1;
-            let occ = match occurrence_counts.iter_mut().find(|(pc, _)| *pc == e.pc) {
-                Some((_, n)) => {
-                    let k = *n;
-                    *n += 1;
-                    k
-                }
-                None => {
-                    occurrence_counts.push((e.pc, 1));
-                    0
-                }
-            };
-            emit(InstanceTag::occurrence(e.pc, occ), e.taken, distance);
-
-            let since = self.backwards_since(e);
-            if since <= u64::from(u16::MAX)
-                && !seen_iteration
-                    .iter()
-                    .any(|&(pc, s)| pc == e.pc && s == since)
-            {
-                seen_iteration.push((e.pc, since));
-                emit(
-                    InstanceTag::iteration(e.pc, since as u16),
-                    e.taken,
-                    distance,
-                );
+            emit(
+                InstanceTag::occurrence(e.pc, e.occurrence),
+                e.taken,
+                distance,
+            );
+            if let Some(i) = e.iteration() {
+                emit(InstanceTag::iteration(e.pc, i), e.taken, distance);
             }
         }
     }
@@ -250,6 +268,12 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_panics() {
         let _ = PathWindow::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536")]
+    fn capacity_beyond_the_index_range_panics() {
+        let _ = PathWindow::new(MAX_WINDOW + 1);
     }
 
     #[test]

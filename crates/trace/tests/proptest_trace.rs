@@ -1,6 +1,9 @@
 //! Property-based tests for the trace substrate: the path window against a
-//! naive reference model, serialization round-trips, and profile/stats
-//! consistency on arbitrary traces.
+//! naive reference model and against the original quadratic-scan window,
+//! serialization round-trips, and profile/stats consistency on arbitrary
+//! traces.
+
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
@@ -63,8 +66,174 @@ fn reference_tags(window: &[BranchRecord]) -> Vec<(InstanceTag, bool)> {
     out
 }
 
+/// The path window as first written: entries carry a running backward
+/// clock, and every query rescans the window, O(W²) per listing. The
+/// incremental [`PathWindow`] must name every instance exactly as this
+/// does, in the same order.
+struct QuadraticWindow {
+    capacity: usize,
+    entries: VecDeque<(Pc, bool, u64)>,
+    backward_total: u64,
+}
+
+impl QuadraticWindow {
+    fn new(capacity: usize) -> Self {
+        QuadraticWindow {
+            capacity,
+            entries: VecDeque::new(),
+            backward_total: 0,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    fn push(&mut self, rec: &BranchRecord) {
+        if !rec.is_conditional() {
+            return;
+        }
+        if rec.is_backward() {
+            self.backward_total += 1;
+        }
+        if self.entries.len() == self.capacity {
+            self.entries.pop_front();
+        }
+        self.entries
+            .push_back((rec.pc, rec.taken, self.backward_total));
+    }
+
+    fn since(&self, through: u64) -> u64 {
+        self.backward_total - through
+    }
+
+    fn position(&self, tag: InstanceTag) -> Option<usize> {
+        match tag.scheme {
+            TagScheme::Occurrence => {
+                let mut seen = 0u16;
+                self.entries.iter().rev().position(|&(pc, _, _)| {
+                    if pc == tag.pc {
+                        let hit = seen == tag.index;
+                        seen += 1;
+                        hit
+                    } else {
+                        false
+                    }
+                })
+            }
+            TagScheme::Iteration => self.entries.iter().rev().position(|&(pc, _, through)| {
+                pc == tag.pc && self.since(through) == u64::from(tag.index)
+            }),
+        }
+    }
+
+    fn lookup(&self, tag: InstanceTag) -> Option<bool> {
+        self.position(tag)
+            .map(|p| self.entries[self.entries.len() - 1 - p].1)
+    }
+
+    fn distance(&self, tag: InstanceTag) -> Option<usize> {
+        self.position(tag).map(|p| p + 1)
+    }
+
+    fn visible_tags_with_distance(&self) -> Vec<(InstanceTag, bool, usize)> {
+        let mut out = Vec::new();
+        let mut seen_iteration: Vec<(Pc, u64)> = Vec::new();
+        let mut occurrence_counts: Vec<(Pc, u16)> = Vec::new();
+        for (back, &(pc, taken, through)) in self.entries.iter().rev().enumerate() {
+            let occ = match occurrence_counts.iter_mut().find(|(p, _)| *p == pc) {
+                Some((_, n)) => {
+                    let k = *n;
+                    *n += 1;
+                    k
+                }
+                None => {
+                    occurrence_counts.push((pc, 1));
+                    0
+                }
+            };
+            out.push((InstanceTag::occurrence(pc, occ), taken, back + 1));
+            let since = self.since(through);
+            if since <= u64::from(u16::MAX)
+                && !seen_iteration.iter().any(|&(p, s)| p == pc && s == since)
+            {
+                seen_iteration.push((pc, since));
+                out.push((InstanceTag::iteration(pc, since as u16), taken, back + 1));
+            }
+        }
+        out
+    }
+}
+
+/// A conditional-heavy record over a dozen pcs, half of them back-edges,
+/// paired with an op selector (0 clears the window first).
+fn arb_step() -> impl Strategy<Value = (BranchRecord, u8)> {
+    (0u64..12, any::<bool>(), any::<bool>(), 0u8..8, 0u8..24).prop_map(
+        |(pc, taken, backward, kind, op)| {
+            let pc = 0x1000 + pc * 4;
+            let rec = BranchRecord {
+                pc,
+                target: if backward { pc - 0x40 } else { pc + 0x40 },
+                taken,
+                kind: match kind {
+                    0 => BranchKind::Call,
+                    1 => BranchKind::Jump,
+                    _ => BranchKind::Conditional,
+                },
+            };
+            (rec, op)
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn incremental_window_matches_quadratic_scan(
+        steps in prop::collection::vec(arb_step(), 0..160),
+        cap in 1usize..41,
+    ) {
+        let mut window = PathWindow::new(cap);
+        let mut reference = QuadraticWindow::new(cap);
+        let mut tags = Vec::new();
+        let mut with_distance = Vec::new();
+        for (rec, op) in &steps {
+            if *op == 0 {
+                window.clear();
+                reference.clear();
+            }
+            window.visible_tags_with_distance(&mut with_distance);
+            let expected = reference.visible_tags_with_distance();
+            prop_assert_eq!(&with_distance, &expected);
+            window.visible_tags(&mut tags);
+            let plain: Vec<(InstanceTag, bool)> =
+                expected.iter().map(|&(t, o, _)| (t, o)).collect();
+            prop_assert_eq!(&tags, &plain);
+            prop_assert_eq!(window.len(), reference.entries.len());
+
+            // Every visible tag, its neighbours in index and its twin in
+            // the other scheme (mostly absent): lookup and distance agree.
+            for &(tag, _, _) in &expected {
+                let other = match tag.scheme {
+                    TagScheme::Occurrence => TagScheme::Iteration,
+                    TagScheme::Iteration => TagScheme::Occurrence,
+                };
+                for probe in [
+                    tag,
+                    InstanceTag { index: tag.index + 1, ..tag },
+                    InstanceTag { scheme: other, ..tag },
+                    InstanceTag { pc: tag.pc + 2, ..tag },
+                ] {
+                    prop_assert_eq!(window.lookup(probe), reference.lookup(probe));
+                    prop_assert_eq!(window.distance(probe), reference.distance(probe));
+                }
+            }
+
+            window.push(rec);
+            reference.push(rec);
+        }
+    }
 
     #[test]
     fn window_matches_reference_model(records in prop::collection::vec(arb_record(), 0..120), cap in 1usize..24) {
