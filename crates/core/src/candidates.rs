@@ -12,8 +12,8 @@ use bp_trace::{
 ///
 /// Every index a window of length W gives is below W, so one row covers
 /// every tag of one prior pc and the pc → row lookup is the only hashing,
-/// once per window entry. Both the candidate counts and the outcome
-/// matrix's column lookup use this layout.
+/// once per window entry. The candidate counts, the outcome matrix's
+/// column lookup and both passes of the window sweep use this layout.
 #[derive(Debug, Clone)]
 pub(crate) struct SlotRows<T> {
     window: usize,
@@ -21,6 +21,25 @@ pub(crate) struct SlotRows<T> {
     /// Start of each pc's row in `cells`.
     rows: FxHashMap<Pc, usize>,
     cells: Vec<T>,
+}
+
+impl SlotRows<u32> {
+    /// Column lookup for candidate list `tags` under a window of `window`
+    /// branches: tag `c`'s cell holds `c`, every other cell the spare
+    /// column `tags.len()`. A tag whose index this window never gives
+    /// (collected under a longer one) gets no cell, so its column is never
+    /// in path.
+    pub(crate) fn columns(tags: &[InstanceTag], window: usize) -> Self {
+        let column = |c: usize| u32::try_from(c).expect("candidate columns fit in u32");
+        let mut rows = SlotRows::new(window, column(tags.len()));
+        for (c, &tag) in tags.iter().enumerate() {
+            if usize::from(tag.index) < window {
+                let cell = rows.cell(tag.scheme, tag.index);
+                rows.row_mut(tag.pc)[cell] = column(c);
+            }
+        }
+        rows
+    }
 }
 
 impl<T: Copy> SlotRows<T> {
@@ -263,10 +282,19 @@ impl VisibilityCounter {
     }
 }
 
-/// Ranks raw visibility counts into capped candidate lists — the one
-/// place the (count desc, tag asc) ordering and the scheme restriction
-/// live, shared by the serial and sharded builders so their outputs
-/// cannot drift.
+/// Orders `(tag, visibility count)` pairs most-visible first, ties by
+/// tag, and keeps the first `cap` — the one candidate ranking rule, used
+/// by [`TagCandidates`] and by every point of a window sweep. Tags are
+/// distinct, so the order is total and the result does not depend on the
+/// input order.
+pub(crate) fn rank_by_visibility(list: &mut Vec<(InstanceTag, u64)>, cap: usize) {
+    list.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    list.truncate(cap);
+}
+
+/// Ranks raw visibility counts into capped candidate lists, applying the
+/// scheme restriction; shared by the serial and sharded builders so their
+/// outputs cannot drift.
 fn rank_counts<'a>(
     counts: FxHashMap<Pc, SlotRows<u64>>,
     cap: usize,
@@ -277,8 +305,7 @@ fn rank_counts<'a>(
             .iter()
             .filter(|(tag, count)| *count > 0 && schemes.contains(&tag.scheme))
             .collect();
-        ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        ranked.truncate(cap);
+        rank_by_visibility(&mut ranked, cap);
         (pc, ranked.into_iter().map(|(tag, _)| tag).collect())
     })
 }

@@ -348,8 +348,9 @@ impl PlanePacker {
 /// the block fills.
 struct BranchPacker {
     matrix: BranchMatrix,
-    /// Column of every candidate tag; every other cell holds the spare
-    /// column `tags.len()`, whose block words are written and discarded.
+    /// Column of every candidate tag the window can name
+    /// ([`SlotRows::columns`]); every other cell holds the spare column,
+    /// whose block words are written and discarded.
     columns: SlotRows<u32>,
     executions: usize,
     taken: u64,
@@ -359,16 +360,10 @@ struct BranchPacker {
 
 impl BranchPacker {
     fn new(tags: &[InstanceTag], window: usize) -> Self {
-        let column = |c: usize| u32::try_from(c).expect("candidate columns fit in u32");
         let spare = tags.len();
-        let mut columns = SlotRows::new(window, column(spare));
-        for (c, &tag) in tags.iter().enumerate() {
-            let cell = columns.cell(tag.scheme, tag.index);
-            columns.row_mut(tag.pc)[cell] = column(c);
-        }
         BranchPacker {
             matrix: BranchMatrix::with_tags(tags.to_vec()),
-            columns,
+            columns: SlotRows::columns(tags, window),
             executions: 0,
             taken: 0,
             inpath: vec![0; spare + 1],
@@ -519,6 +514,33 @@ mod tests {
         // Bits past 64 land in the second word and read back correctly.
         for e in [63, 64, 65, 99] {
             assert_eq!(bm.taken(e), e % 3 == 0);
+        }
+    }
+
+    #[test]
+    fn shorter_matrix_window_than_candidates_leaves_unnameable_tags_out_of_path() {
+        // Candidates collected at 16 include occurrence indices 4..8 of
+        // 0x100, which a window of 4 never names: their columns must stay
+        // not-in-path instead of aliasing onto other cells of the row.
+        let trace = copy_trace(200);
+        let cands = TagCandidates::collect(&trace, 16, 64);
+        let m = OutcomeMatrix::build(&trace, &cands, 4);
+        assert!(cands.tags(0x200).iter().any(|t| usize::from(t.index) >= 4));
+        let mut path = PathWindow::new(4);
+        let mut executions: FxHashMap<Pc, usize> = FxHashMap::default();
+        for rec in trace.records() {
+            let e = executions.entry(rec.pc).or_default();
+            let bm = m.branch(rec.pc).expect("every branch has a matrix");
+            for (c, &tag) in bm.tags().iter().enumerate() {
+                assert_eq!(
+                    get_bit(bm.inpath_plane(c), *e),
+                    path.lookup(tag).is_some(),
+                    "branch {:#x} execution {e} column {tag:?}",
+                    rec.pc
+                );
+            }
+            *e += 1;
+            path.push(rec);
         }
     }
 

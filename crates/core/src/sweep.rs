@@ -15,44 +15,52 @@
 //! are equal *by construction* to the ones [`OutcomeMatrix::build`] would
 //! produce (the unit tests assert plane-level equality).
 //!
-//! [`SweepMatrix::build`] makes two passes: one to bucket per-tag
-//! visibility counts by distance (ranking + cap per window), one to pack
-//! bit-planes for the union of every window's capped candidate list, with
-//! each set in-path bit annotated — in three side bit-planes — with the
-//! index of the smallest window that sees it. [`SweepMatrix::materialize`]
-//! then assembles any sweep point's [`OutcomeMatrix`] with a word-wise
+//! [`SweepMatrix::build`] makes two passes, each driving one chunk-level
+//! kernel. [`BucketCounter`] counts every visible tag into per-branch slot
+//! rows, one count per bucket — the smallest window that sees the
+//! instance — from which each window's ranking and cap follow.
+//! [`BlockPacker`] then packs bit-planes for the union of every window's
+//! capped candidate list, annotating each set in-path bit with its bucket
+//! index in three side bit-planes, a 64-execution block at a time into one
+//! block-major buffer per branch. [`SweepMatrix::materialize`] then
+//! assembles any sweep point's [`OutcomeMatrix`] with a word-wise
 //! bucket-threshold mask, no trace access needed.
 
 use bp_trace::fx::FxHashMap;
 use bp_trace::io::TraceIoError;
-use bp_trace::{InstanceTag, PathWindow, Pc, Trace, TraceSource};
+use bp_trace::{BranchRecord, InstanceTag, PathWindow, Pc, TagScheme, Trace, TraceSource};
 
+use crate::candidates::{rank_by_visibility, SlotRows};
 use crate::matrix::{BranchMatrix, OutcomeMatrix};
 
 /// Most sweep points one artifact supports: bucket indices are packed into
 /// [`BUCKET_BITS`] bit-planes.
 pub const MAX_SWEEP_WINDOWS: usize = 8;
 const BUCKET_BITS: usize = 3;
+/// Words per union column in a block: in-path, direction, and the bucket
+/// bit-planes.
+const COLUMN_WORDS: usize = 2 + BUCKET_BITS;
+
+/// Per-window visibility counts of one tag, indexed by bucket.
+type Buckets = [u64; MAX_SWEEP_WINDOWS];
 
 /// Per-branch piece of the sweep artifact: packed planes for the union of
 /// every window's candidate columns, plus each window's ranked column list.
 #[derive(Debug, Clone)]
 struct SweepBranch {
     executions: usize,
-    taken: Vec<u64>,
-    /// Union candidate tags; column order is fixed but arbitrary.
+    /// Union candidate tags, in tag order.
     tags: Vec<InstanceTag>,
-    /// Per union column: in-path plane at the maximum window.
-    inpath: Vec<Vec<u64>>,
-    /// Per union column: direction plane (subset of `inpath`).
-    dir: Vec<Vec<u64>>,
-    /// Per union column: bucket-index bit-planes — for every set in-path
-    /// bit, the index (in `windows`) of the smallest window containing the
-    /// instance, one binary digit per plane.
-    buckets: [Vec<Vec<u64>>; BUCKET_BITS],
     /// Per window: the capped visibility-ranked candidate list, as indices
     /// into `tags`.
     ranked: Vec<Vec<u32>>,
+    /// Block-major planes: per 64-execution block, [`SweepBranch::stride`]
+    /// words — the branch's outcome word, then per union column its
+    /// in-path word at the maximum window, its direction word (a subset of
+    /// in-path) and its [`BUCKET_BITS`] bucket words, which give every set
+    /// in-path bit the index (in `windows`) of the smallest window
+    /// containing the instance, one binary digit per word.
+    planes: Vec<u64>,
 }
 
 /// The shared artifact of a multi-window oracle sweep over one trace.
@@ -116,111 +124,22 @@ impl SweepMatrix {
             caps.iter().all(|&c| c > 0),
             "candidate caps must be positive"
         );
-        let max_window = *windows.last().expect("windows is non-empty");
-
-        // Pass 1: per-branch, per-tag visibility counts bucketed by the
-        // smallest window that sees the instance.
-        let mut counts: FxHashMap<Pc, FxHashMap<InstanceTag, [u64; MAX_SWEEP_WINDOWS]>> =
-            FxHashMap::default();
-        let mut path = PathWindow::new(max_window);
-        let mut visible = Vec::new();
+        let mut counter = BucketCounter::new(windows);
         source.scan(&mut |chunk| {
-            for rec in chunk {
-                if rec.is_conditional() {
-                    path.visible_tags_with_distance(&mut visible);
-                    let branch_counts = counts.entry(rec.pc).or_default();
-                    for &(tag, _, d) in &visible {
-                        let b = windows.partition_point(|&w| w < d);
-                        branch_counts.entry(tag).or_insert([0; MAX_SWEEP_WINDOWS])[b] += 1;
-                    }
-                }
-                path.push(rec);
-            }
+            counter.scan(chunk);
         })?;
-
-        // Rank + cap per window; the union of the capped lists is the
-        // column set worth packing planes for.
-        let mut branches: FxHashMap<Pc, SweepBranch> = counts
-            .into_iter()
-            .map(|(pc, tag_counts)| {
-                let mut union: Vec<InstanceTag> = Vec::new();
-                let mut union_index: FxHashMap<InstanceTag, u32> = FxHashMap::default();
-                let mut ranked = Vec::with_capacity(windows.len());
-                for i in 0..windows.len() {
-                    // Visibility within window i = buckets 0..=i summed.
-                    let mut list: Vec<(InstanceTag, u64)> = tag_counts
-                        .iter()
-                        .filter_map(|(tag, buckets)| {
-                            let count: u64 = buckets[..=i].iter().sum();
-                            (count > 0).then_some((*tag, count))
-                        })
-                        .collect();
-                    list.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-                    list.truncate(caps[i]);
-                    let cols = list
-                        .into_iter()
-                        .map(|(tag, _)| {
-                            *union_index.entry(tag).or_insert_with(|| {
-                                union.push(tag);
-                                (union.len() - 1) as u32
-                            })
-                        })
-                        .collect();
-                    ranked.push(cols);
-                }
-                let n = union.len();
-                (
-                    pc,
-                    SweepBranch {
-                        executions: 0,
-                        taken: Vec::new(),
-                        tags: union,
-                        inpath: vec![Vec::new(); n],
-                        dir: vec![Vec::new(); n],
-                        buckets: std::array::from_fn(|_| vec![Vec::new(); n]),
-                        ranked,
-                    },
-                )
-            })
-            .collect();
-
-        // Pass 2: pack the planes for the union columns.
-        let mut path = PathWindow::new(max_window);
-        let mut column_lookup: FxHashMap<Pc, FxHashMap<InstanceTag, u32>> = branches
-            .iter()
-            .map(|(pc, sb)| {
-                (
-                    *pc,
-                    sb.tags
-                        .iter()
-                        .enumerate()
-                        .map(|(c, tag)| (*tag, c as u32))
-                        .collect(),
-                )
-            })
-            .collect();
+        let mut packer = BlockPacker::new(counter, caps);
         source.scan(&mut |chunk| {
-            for rec in chunk {
-                if rec.is_conditional() {
-                    if let Some(sb) = branches.get_mut(&rec.pc) {
-                        let columns = &column_lookup[&rec.pc];
-                        path.visible_tags_with_distance(&mut visible);
-                        sb.push_execution(rec.taken, windows, columns, &visible);
-                    }
-                }
-                path.push(rec);
-            }
+            packer.scan(chunk);
         })?;
-        column_lookup.clear();
-
         Ok(SweepMatrix {
             windows: windows.to_vec(),
-            branches,
+            branches: packer.finish(),
         })
     }
 
-    /// Convenience: `build` with the windows taken from ascending-sorted,
-    /// deduplicated input is the caller's job — this just exposes them.
+    /// The sweep's window lengths, ascending: sweep point `i` is
+    /// `windows()[i]`.
     pub fn windows(&self) -> &[usize] {
         &self.windows
     }
@@ -291,78 +210,268 @@ impl SweepMatrix {
 }
 
 impl SweepBranch {
-    fn push_execution(
-        &mut self,
-        taken: bool,
-        windows: &[usize],
-        columns: &FxHashMap<InstanceTag, u32>,
-        visible: &[(InstanceTag, bool, usize)],
-    ) {
-        let e = self.executions;
-        self.executions += 1;
-        let (word, bit) = (e / 64, e % 64);
-        if bit == 0 {
-            self.taken.push(0);
-            for plane in self.inpath.iter_mut().chain(self.dir.iter_mut()) {
-                plane.push(0);
-            }
-            for planes in &mut self.buckets {
-                for plane in planes.iter_mut() {
-                    plane.push(0);
-                }
-            }
-        }
-        if taken {
-            self.taken[word] |= 1 << bit;
-        }
-        for &(tag, tag_taken, d) in visible {
-            let Some(&c) = columns.get(&tag) else {
-                continue;
-            };
-            let c = c as usize;
-            self.inpath[c][word] |= 1 << bit;
-            if tag_taken {
-                self.dir[c][word] |= 1 << bit;
-            }
-            let b = windows.partition_point(|&w| w < d);
-            for (k, planes) in self.buckets.iter_mut().enumerate() {
-                if b >> k & 1 == 1 {
-                    planes[c][word] |= 1 << bit;
-                }
-            }
-        }
+    /// Words per 64-execution block of `planes`.
+    fn stride(&self) -> usize {
+        1 + COLUMN_WORDS * self.tags.len()
     }
 
     fn materialize(&self, idx: usize) -> BranchMatrix {
-        let words = self.executions.div_ceil(64);
+        let blocks = || self.planes.chunks_exact(self.stride());
         let cols = &self.ranked[idx];
         let mut inpath = Vec::with_capacity(cols.len());
         let mut dir = Vec::with_capacity(cols.len());
         for &c in cols {
-            let c = c as usize;
-            let mut ip_plane = Vec::with_capacity(words);
-            let mut d_plane = Vec::with_capacity(words);
-            for w in 0..words {
+            let base = 1 + COLUMN_WORDS * c as usize;
+            let mut ip_plane = Vec::with_capacity(blocks().len());
+            let mut d_plane = Vec::with_capacity(blocks().len());
+            for block in blocks() {
+                let col = &block[base..base + COLUMN_WORDS];
+                let (ip, d, buckets) = (col[0], col[1], &col[2..]);
                 // Word-wise bucket-index <= idx comparator over the three
                 // bucket bit-planes: a bit survives when its instance is
                 // seen by a window no longer than this sweep point's.
                 let mut gt = 0u64;
                 let mut eq = !0u64;
                 for k in (0..BUCKET_BITS).rev() {
-                    let bk = self.buckets[k][c][w];
+                    let bk = buckets[k];
                     let tk = if idx >> k & 1 == 1 { !0u64 } else { 0 };
                     gt |= eq & bk & !tk;
                     eq &= !(bk ^ tk);
                 }
-                let ip = self.inpath[c][w] & !gt;
+                let ip = ip & !gt;
                 ip_plane.push(ip);
-                d_plane.push(self.dir[c][w] & ip);
+                d_plane.push(d & ip);
             }
             inpath.push(ip_plane);
             dir.push(d_plane);
         }
         let tags = cols.iter().map(|&c| self.tags[c as usize]).collect();
-        BranchMatrix::from_planes(tags, self.executions, inpath, dir, self.taken.clone())
+        let taken = blocks().map(|block| block[0]).collect();
+        BranchMatrix::from_planes(tags, self.executions, inpath, dir, taken)
+    }
+}
+
+/// Pass 1 kernel: a path window at the largest sweep window over every
+/// record, counting each conditional branch's visible tags into slot rows,
+/// one count per bucket.
+struct BucketCounter {
+    path: PathWindow,
+    /// Bucket of each window position, most recent first: the index of
+    /// the smallest sweep window at least as long as the position's
+    /// distance (position + 1).
+    buckets: Vec<u8>,
+    /// Per branch: its executions and its bucketed counts.
+    counts: FxHashMap<Pc, (usize, SlotRows<Buckets>)>,
+}
+
+impl BucketCounter {
+    fn new(windows: &[usize]) -> Self {
+        let max_window = *windows.last().expect("windows is non-empty");
+        let mut buckets = Vec::with_capacity(max_window);
+        let mut b = 0;
+        for distance in 1..=max_window {
+            b += usize::from(windows[b] < distance);
+            buckets.push(b as u8);
+        }
+        BucketCounter {
+            path: PathWindow::new(max_window),
+            buckets,
+            counts: FxHashMap::default(),
+        }
+    }
+
+    fn scan(&mut self, records: &[BranchRecord]) {
+        for rec in records {
+            if rec.is_conditional() {
+                let window = self.path.capacity();
+                let (executions, rows) = self
+                    .counts
+                    .entry(rec.pc)
+                    .or_insert_with(|| (0, SlotRows::new(window, [0; MAX_SWEEP_WINDOWS])));
+                *executions += 1;
+                for (e, &b) in self.path.entries().zip(&self.buckets) {
+                    let b = usize::from(b);
+                    let occurrence = rows.cell(TagScheme::Occurrence, e.occurrence());
+                    let iteration = e.iteration().map(|i| rows.cell(TagScheme::Iteration, i));
+                    let row = rows.row_mut(e.pc);
+                    row[occurrence][b] += 1;
+                    if let Some(c) = iteration {
+                        row[c][b] += 1;
+                    }
+                }
+            }
+            self.path.push(rec);
+        }
+    }
+}
+
+/// Pass 2 kernel: the same path window again, packing each branch's
+/// union-column planes.
+struct BlockPacker {
+    path: PathWindow,
+    /// As [`BucketCounter::buckets`].
+    buckets: Vec<u8>,
+    branches: FxHashMap<Pc, BranchBlocks>,
+}
+
+impl BlockPacker {
+    /// Ranks pass 1's counts per window and sets up every branch's packer.
+    fn new(counter: BucketCounter, caps: &[usize]) -> Self {
+        let BucketCounter {
+            mut path,
+            buckets,
+            counts,
+        } = counter;
+        let window = path.capacity();
+        path.clear();
+        let branches = counts
+            .into_iter()
+            .map(|(pc, (executions, rows))| {
+                (pc, BranchBlocks::new(&rows, executions, caps, window))
+            })
+            .collect();
+        BlockPacker {
+            path,
+            buckets,
+            branches,
+        }
+    }
+
+    fn scan(&mut self, records: &[BranchRecord]) {
+        for rec in records {
+            if rec.is_conditional() {
+                if let Some(branch) = self.branches.get_mut(&rec.pc) {
+                    branch.push_execution(rec.taken, &self.path, &self.buckets);
+                }
+            }
+            self.path.push(rec);
+        }
+    }
+
+    fn finish(self) -> FxHashMap<Pc, SweepBranch> {
+        self.branches
+            .into_iter()
+            .map(|(pc, branch)| (pc, branch.finish()))
+            .collect()
+    }
+}
+
+/// Packs one branch's planes a 64-execution block at a time: bits are set
+/// in the block's words, and the whole block is appended to the planes
+/// when it fills.
+struct BranchBlocks {
+    branch: SweepBranch,
+    /// Union column of every candidate tag ([`SlotRows::columns`]); every
+    /// other cell holds the spare column, whose block words are written
+    /// and discarded.
+    columns: SlotRows<u32>,
+    /// The current block: [`SweepBranch::stride`] words plus the spare
+    /// column's.
+    block: Vec<u64>,
+}
+
+impl BranchBlocks {
+    fn new(rows: &SlotRows<Buckets>, executions: usize, caps: &[usize], window: usize) -> Self {
+        // Running sums turn bucket counts into per-window visibility.
+        let seen: Vec<(InstanceTag, Buckets)> = rows
+            .iter()
+            .filter(|(_, counts)| counts.iter().any(|&n| n > 0))
+            .map(|(tag, mut counts)| {
+                for b in 1..MAX_SWEEP_WINDOWS {
+                    counts[b] += counts[b - 1];
+                }
+                (tag, counts)
+            })
+            .collect();
+        let mut list = Vec::with_capacity(seen.len());
+        let lists: Vec<Vec<InstanceTag>> = caps
+            .iter()
+            .enumerate()
+            .map(|(i, &cap)| {
+                list.clear();
+                list.extend(
+                    seen.iter()
+                        .filter(|(_, visible)| visible[i] > 0)
+                        .map(|&(tag, visible)| (tag, visible[i])),
+                );
+                rank_by_visibility(&mut list, cap);
+                list.iter().map(|&(tag, _)| tag).collect()
+            })
+            .collect();
+        let mut tags = lists.concat();
+        tags.sort_unstable();
+        tags.dedup();
+        let columns = SlotRows::columns(&tags, window);
+        // Each ranked tag's union column, read back from the lookup.
+        let ranked = lists
+            .iter()
+            .map(|list| {
+                list.iter()
+                    .map(|tag| {
+                        let row = columns.row(tag.pc).expect("union tags have rows");
+                        row[columns.cell(tag.scheme, tag.index)]
+                    })
+                    .collect()
+            })
+            .collect();
+        let stride = 1 + COLUMN_WORDS * tags.len();
+        BranchBlocks {
+            branch: SweepBranch {
+                executions: 0,
+                tags,
+                ranked,
+                // Pass 1 counted the executions: one allocation, no growth.
+                planes: Vec::with_capacity(executions.div_ceil(64) * stride),
+            },
+            columns,
+            block: vec![0; stride + COLUMN_WORDS],
+        }
+    }
+
+    fn push_execution(&mut self, taken: bool, path: &PathWindow, buckets: &[u8]) {
+        let shift = self.branch.executions % 64;
+        let bit = 1u64 << shift;
+        for (e, &b) in path.entries().zip(buckets) {
+            let Some(row) = self.columns.row(e.pc) else {
+                continue;
+            };
+            let b = u64::from(b);
+            let words: [u64; COLUMN_WORDS] = [
+                bit,
+                u64::from(e.taken) << shift,
+                (b & 1) << shift,
+                (b >> 1 & 1) << shift,
+                (b >> 2 & 1) << shift,
+            ];
+            let mut set = |c: u32| {
+                let base = 1 + COLUMN_WORDS * c as usize;
+                for (word, w) in self.block[base..base + COLUMN_WORDS].iter_mut().zip(words) {
+                    *word |= w;
+                }
+            };
+            set(row[self.columns.cell(TagScheme::Occurrence, e.occurrence())]);
+            if let Some(i) = e.iteration() {
+                set(row[self.columns.cell(TagScheme::Iteration, i)]);
+            }
+        }
+        self.block[0] |= u64::from(taken) << shift;
+        self.branch.executions += 1;
+        if shift == 63 {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        let stride = self.branch.stride();
+        self.branch.planes.extend_from_slice(&self.block[..stride]);
+        self.block.fill(0);
+    }
+
+    fn finish(mut self) -> SweepBranch {
+        if !self.branch.executions.is_multiple_of(64) {
+            self.flush();
+        }
+        self.branch
     }
 }
 

@@ -1,12 +1,13 @@
 //! Allocation counts of the oracle's cold path, measured by a counting
-//! global allocator: the path window allocates nothing once warm, and
+//! global allocator: the path window allocates nothing once warm,
 //! candidate collection allocates per distinct (branch, prior branch)
-//! pair, never per record.
+//! pair, never per record, and the window sweep allocates the same
+//! however long the trace.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bp_core::TagCandidates;
+use bp_core::{SweepMatrix, TagCandidates};
 use bp_trace::{BranchKind, BranchRecord, PathWindow, Trace};
 
 /// Forwards to the system allocator, counting allocations made by the
@@ -110,5 +111,27 @@ fn candidate_collection_allocates_per_pair_not_per_record() {
     assert_eq!(
         short, long,
         "allocations grew with trace length: {short} over 1x, {long} over 4x"
+    );
+}
+
+#[test]
+fn sweep_build_allocates_per_branch_not_per_record() {
+    const WINDOWS: [usize; 3] = [4, 8, 16];
+    const CAPS: [usize; 3] = [8, 16, 32];
+    let once = Trace::from_records(pattern());
+    let sixteen_times = Trace::from_records(pattern().repeat(16));
+    let _ = SweepMatrix::build(&once, &WINDOWS, &CAPS);
+    let (short, a) = allocations_in(|| SweepMatrix::build(&once, &WINDOWS, &CAPS));
+    let (long, b) = allocations_in(|| SweepMatrix::build(&sixteen_times, &WINDOWS, &CAPS));
+    assert!(short > 0);
+    assert_eq!(
+        a.materialize(0).branch_count(),
+        b.materialize(0).branch_count()
+    );
+    // The first pass counts each branch's executions, so its plane buffer
+    // is allocated once at its final size: 16x the records, same count.
+    assert_eq!(
+        short, long,
+        "allocations grew with trace length: {short} over 1x, {long} over 16x"
     );
 }
