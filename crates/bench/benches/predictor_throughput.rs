@@ -1,13 +1,15 @@
 //! Predictor throughput: time to simulate every predictor over a fixed
-//! workload trace (lower = faster predictor implementation).
+//! workload trace (lower = faster predictor implementation), plus the
+//! whole zoo in one batch at 1 thread and at available parallelism.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use bp_bench::bench_trace;
 use bp_predictors::{
-    simulate, BlockPattern, Gas, Gshare, GshareInterferenceFree, Hybrid, KthAgo, LoopPredictor,
-    Pas, PasInterferenceFree, PathBased, Predictor, Smith, StaticTaken,
+    default_zoo, simulate, simulate_batch_parallel, BlockPattern, Gas, Gshare,
+    GshareInterferenceFree, Hybrid, KthAgo, LoopPredictor, Pas, PasInterferenceFree, PathBased,
+    Perceptron, Predictor, Smith, StaticTaken, Tage,
 };
 
 fn bench_predictors(c: &mut Criterion) {
@@ -41,6 +43,22 @@ fn bench_predictors(c: &mut Criterion) {
         "hybrid_gshare_pas",
         Hybrid::new(Gshare::default(), Pas::default(), 12)
     );
+    bench!("tage", Tage::default());
+    bench!("perceptron", Perceptron::default());
+
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for (name, threads) in [("zoo_batch_1_thread", 1), ("zoo_batch_all_cores", cores)] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut zoo = default_zoo();
+                black_box(simulate_batch_parallel(
+                    &mut zoo,
+                    black_box(&trace),
+                    threads,
+                ))
+            })
+        });
+    }
 
     // Sanity: the names stay distinct (catches copy-paste in the table).
     let names: Vec<String> = vec![

@@ -18,10 +18,11 @@
 //!
 //! Two further suites pin the paper-scale machinery: `parallel` diffs the
 //! sharded executor and every parallel kernel (classify, oracle select,
-//! sweep materialization) against their serial twins at adversarial shard
-//! and job counts, and `bps` round-trips the packed `.bps` artifacts
-//! through a write → reopen cycle and diffs the analysis summary computed
-//! from the reopened planes against the freshly built ones.
+//! sweep materialization, the predictor batch) against their serial twins
+//! at adversarial shard and job counts, and `bps` round-trips the packed
+//! `.bps` artifacts through a write → reopen cycle and diffs the analysis
+//! summary computed from the reopened planes against the freshly built
+//! ones.
 
 use std::path::Path;
 
@@ -30,7 +31,10 @@ use bp_core::{
     BranchMatrix, Classification, Classifier, ClassifierConfig, OracleConfig, OracleSelector,
     OutcomeMatrix, SweepMatrix, TagCandidates,
 };
-use bp_predictors::SaturatingCounter;
+use bp_predictors::{
+    default_zoo, simulate_batch_parallel, simulate_per_branch, PerBranchStats, SaturatingCounter,
+    BATCH_SPLIT_MIN_RECORDS,
+};
 use bp_trace::bps::{open_streams, write_streams};
 use bp_trace::io::{self, ChunkWriter, TraceIoError};
 use bp_trace::{BranchRecord, BranchStreams, TagScheme, Trace, TraceSink, TraceSource};
@@ -480,7 +484,8 @@ pub const PARALLEL_JOBS: [usize; 3] = [1, 2, 7];
 /// against their serial twins on one trace: the executor-backed
 /// `from_source_sharded` builders at every [`PARALLEL_SHARDS`] count
 /// (planes must be bit-identical), then classification, oracle subset
-/// search, and sweep materialization at every [`PARALLEL_JOBS`] count.
+/// search, sweep materialization and the predictor batch kernel at every
+/// [`PARALLEL_JOBS`] count.
 pub fn diff_parallel(
     trace: &Trace,
     cfg: &OracleConfig,
@@ -570,6 +575,48 @@ pub fn diff_parallel(
                 &want_sweep.materialize(i),
             ) {
                 return Some(format!("parallel sweep: {why}"));
+            }
+        }
+    }
+    diff_batch(trace)
+}
+
+/// Diffs the predictor batch kernel over [`default_zoo`] at every
+/// [`PARALLEL_JOBS`] count against each predictor run alone through
+/// [`simulate_per_branch`], branch by branch in iteration order. It runs
+/// over the trace framed in 64-record chunks and over the trace repeated
+/// to one chunk of at least [`BATCH_SPLIT_MIN_RECORDS`], the length at
+/// which helpers take part.
+fn diff_batch(trace: &Trace) -> Option<String> {
+    let records = trace.records();
+    let repeats = BATCH_SPLIT_MIN_RECORDS.div_ceil(records.len().max(1));
+    let repeated = Trace::from_records(records.repeat(repeats));
+    let framed = Rechunked { records, chunk: 64 };
+    let runs: [(&str, &dyn TraceSource, &Trace); 2] = [
+        ("64-record chunks", &framed, trace),
+        ("repeated", &repeated, &repeated),
+    ];
+    for (label, source, alone_over) in runs {
+        let alone: Vec<PerBranchStats> = default_zoo()
+            .iter_mut()
+            .map(|p| simulate_per_branch(p.as_mut(), alone_over))
+            .collect();
+        for &jobs in &PARALLEL_JOBS {
+            let got = simulate_batch_parallel(&mut default_zoo(), source, jobs)
+                .expect("in-memory scans cannot fail");
+            for ((g, w), p) in got.iter().zip(&alone).zip(default_zoo()) {
+                if g.total() != w.total() {
+                    return Some(format!(
+                        "{label}, {jobs} jobs: {}: batch total differs from the run alone",
+                        p.name()
+                    ));
+                }
+                if let Some(((pc, _), _)) = g.iter().zip(w.iter()).find(|(g, w)| g != w) {
+                    return Some(format!(
+                        "{label}, {jobs} jobs: {}: branch {pc:#x}: batch differs from the run alone",
+                        p.name()
+                    ));
+                }
             }
         }
     }

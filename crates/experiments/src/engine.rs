@@ -37,7 +37,7 @@ use bp_core::{
     OracleSelector, OutcomeMatrix, SweepMatrix, TagCandidates,
 };
 use bp_predictors::{
-    simulate_batch_source, Gshare, GshareInterferenceFree, Pas, PasInterferenceFree,
+    simulate_batch_parallel, Gshare, GshareInterferenceFree, Pas, PasInterferenceFree,
     PerBranchStats, Perceptron, Predictor, Tage,
 };
 use bp_trace::{BranchProfile, BranchStreams, Pc, TagScheme, Trace};
@@ -138,6 +138,11 @@ impl<K: std::hash::Hash + Eq + Clone, V> CacheMap<K, V> {
 
     fn len(&self) -> usize {
         self.map.lock().expect("cache map lock").len()
+    }
+
+    /// Drops the entry for `key`; holders of its value keep their `Arc`.
+    fn remove(&self, key: &K) {
+        self.map.lock().expect("cache map lock").remove(key);
     }
 }
 
@@ -442,7 +447,7 @@ impl Engine {
             || {
                 let source = self.source(benchmark);
                 let mut batch = [key.build()];
-                simulate_batch_source(&mut batch, &source)
+                simulate_batch_parallel(&mut batch, &source, self.nested_budget())
                     .expect("trace stream failed")
                     .pop()
                     .expect("one result per predictor")
@@ -538,6 +543,8 @@ impl Engine {
     /// each point's config (and so its cache key and result) exactly what
     /// a direct [`Engine::oracle`] call at that point would use, while the
     /// shared artifact still packs all points' candidate columns at once.
+    /// The artifact leaves the cache when the call returns: every point is
+    /// cached by then, so a repeated call never reads it.
     ///
     /// # Panics
     ///
@@ -551,7 +558,8 @@ impl Engine {
         caps: &[usize],
         base: &OracleConfig,
     ) -> Vec<Arc<OracleResult>> {
-        windows
+        let key = (benchmark, windows.to_vec(), caps.to_vec());
+        let results = windows
             .iter()
             .enumerate()
             .map(|(i, &n)| {
@@ -568,7 +576,7 @@ impl Engine {
                         // The artifact is built lazily on the first miss,
                         // then shared by every other point (and run).
                         let sweep = self.cache.sweeps.get_or_compute(
-                            (benchmark, windows.to_vec(), caps.to_vec()),
+                            key.clone(),
                             &self.cache.hits,
                             &self.cache.misses,
                             || {
@@ -605,7 +613,11 @@ impl Engine {
                     },
                 )
             })
-            .collect()
+            .collect();
+        // Every point is now cached as an oracle result, so nothing reads
+        // the sweep again.
+        self.cache.sweeps.remove(&key);
+        results
     }
 
     /// Per-branch subset search over `matrix`, sharded across whatever
@@ -777,7 +789,7 @@ impl Engine {
     /// Pre-warms the cache for a multi-experiment run: generates every
     /// trace (in parallel), then computes the four standard predictors'
     /// per-branch stats in a *single* batched pass per trace
-    /// ([`simulate_batch`]), so no later experiment pays a separate
+    /// ([`simulate_batch_parallel`]), so no later experiment pays a separate
     /// simulation pass for them.
     pub fn prewarm(&self, cfg: &ExperimentConfig) {
         if !self.traces.is_streaming() {
@@ -815,8 +827,8 @@ impl Engine {
             let source = self.source(benchmark);
             let mut predictors: Vec<Box<dyn Predictor>> =
                 missing.iter().map(|k| k.build()).collect();
-            let results =
-                simulate_batch_source(&mut predictors, &source).expect("trace stream failed");
+            let results = simulate_batch_parallel(&mut predictors, &source, self.nested_budget())
+                .expect("trace stream failed");
             for (key, stats) in missing.into_iter().zip(results) {
                 self.cache.per_branch.get_or_compute(
                     (benchmark, key),
@@ -949,6 +961,7 @@ mod tests {
         let plain = quick_engine(2);
         let b = Benchmark::Ijpeg;
         let sweep_results = swept.oracle_sweep(b, &windows, &caps, &base);
+        assert_eq!(swept.cache.sweeps.len(), 0, "the sweep is evicted");
         for ((&n, &cap), swept_r) in windows.iter().zip(&caps).zip(&sweep_results) {
             let point = OracleConfig {
                 window: n,

@@ -85,8 +85,8 @@ pub use smith::Smith;
 pub use static_pht::{StaticPhtGshare, StaticPhtPas};
 pub use statics::{BackwardTaken, IdealStatic, StaticNotTaken, StaticTaken};
 pub use stats::{
-    simulate, simulate_batch, simulate_batch_source, simulate_per_branch, PerBranchStats,
-    PredictionStats,
+    simulate, simulate_batch, simulate_batch_parallel, simulate_batch_source, simulate_per_branch,
+    PerBranchStats, PredictionStats, BATCH_SPLIT_MIN_RECORDS,
 };
 pub use tage::Tage;
 pub use yeh_patt::{global_family, per_address_family, Gag, Pag};
@@ -96,7 +96,10 @@ pub use yeh_patt::{global_family, per_address_family, Gag, Pag};
 /// Predictors see the branch *site* (address and target) when predicting —
 /// never the outcome — and are trained with the outcome afterwards, in trace
 /// order, exactly like the paper's trace-driven simulator.
-pub trait Predictor {
+///
+/// `Send` is a supertrait: every predictor is plain data, and
+/// [`simulate_batch_parallel`] moves boxed predictors onto helper threads.
+pub trait Predictor: Send {
     /// Human-readable name including salient configuration, e.g.
     /// `"gshare(16)"`. Used in experiment output.
     fn name(&self) -> String;
@@ -107,6 +110,31 @@ pub trait Predictor {
 
     /// Trains the predictor with the resolved outcome of `site`.
     fn update(&mut self, site: BranchSite, taken: bool);
+}
+
+/// One of every dynamic design the crate models, at its default geometry:
+/// Smith, the two-level family (GAg, GAs, gshare, IF-gshare, PAg, PAs,
+/// IF-PAs), path, gskew, loop, k-ago, block, the gshare/PAs hybrid, TAGE
+/// and perceptron — the set a batch over "the zoo" runs.
+pub fn default_zoo() -> Vec<Box<dyn Predictor>> {
+    vec![
+        Box::new(Smith::default()),
+        Box::new(Gag::default()),
+        Box::new(Gas::default()),
+        Box::new(Gshare::default()),
+        Box::new(GshareInterferenceFree::default()),
+        Box::new(Pag::default()),
+        Box::new(Pas::default()),
+        Box::new(PasInterferenceFree::default()),
+        Box::new(PathBased::default()),
+        Box::new(Gskew::default()),
+        Box::new(LoopPredictor::new()),
+        Box::new(KthAgo::new(8)),
+        Box::new(BlockPattern::new()),
+        Box::new(Hybrid::new(Gshare::default(), Pas::default(), 12)),
+        Box::new(Tage::default()),
+        Box::new(Perceptron::default()),
+    ]
 }
 
 impl<P: Predictor + ?Sized> Predictor for Box<P> {

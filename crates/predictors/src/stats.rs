@@ -3,7 +3,7 @@ use bp_trace::fx::FxHashMap;
 use serde::{Deserialize, Serialize};
 
 use bp_trace::io::TraceIoError;
-use bp_trace::{Pc, Trace, TraceSource};
+use bp_trace::{BranchRecord, Pc, Trace, TraceSource};
 
 use crate::{BranchSite, Predictor};
 
@@ -152,41 +152,127 @@ pub fn simulate_per_branch<P: Predictor + ?Sized>(
 ///
 /// Equivalent to calling [`simulate_per_branch`] once per predictor — each
 /// predictor sees the identical record sequence and trains independently —
-/// but the trace is decoded and iterated once instead of N times, keeping
-/// the record stream hot in cache while the (much smaller) predictor state
-/// tables absorb the working-set pressure. This is the entry point the
-/// evaluation engine in `bp-experiments` uses to pre-warm its cache.
+/// but the trace is iterated once instead of N times. A wrapper of
+/// [`simulate_batch_source`] for in-memory traces.
 pub fn simulate_batch(predictors: &mut [Box<dyn Predictor>], trace: &Trace) -> Vec<PerBranchStats> {
     simulate_batch_source(predictors, trace).expect("in-memory traces cannot fail to scan")
 }
 
 /// As [`simulate_batch`], but consuming any [`TraceSource`] chunk by chunk,
 /// so a disk-resident or regenerated trace simulates without ever being
-/// materialized in memory. Record order — and therefore every predictor's
-/// training sequence — is identical to the in-memory loop.
-pub fn simulate_batch_source<T: TraceSource + ?Sized>(
+/// materialized in memory. Runs [`simulate_batch_parallel`] on one thread
+/// per available core, at most one per predictor.
+pub fn simulate_batch_source(
     predictors: &mut [Box<dyn Predictor>],
-    source: &T,
+    source: &dyn TraceSource,
 ) -> Result<Vec<PerBranchStats>, TraceIoError> {
-    let mut stats: Vec<PerBranchStats> = predictors.iter().map(|_| PerBranchStats::new()).collect();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    simulate_batch_parallel(predictors, source, cores.min(predictors.len()))
+}
+
+/// Chunks of fewer records than this run every predictor on the calling
+/// thread: below it, starting a helper costs about what it saves.
+pub const BATCH_SPLIT_MIN_RECORDS: usize = 2048;
+
+/// The batch kernel: N predictors over one pass of `source`, split across
+/// at most `threads` threads (the calling thread included).
+///
+/// Each chunk's conditional records get a dense branch id from one map
+/// shared by all predictors (ids in first-seen order). Predictors run
+/// chunk-major, each over the whole chunk before the next, counting into a
+/// `Vec` indexed by id. Predictor `i` belongs to group `i % threads`; the
+/// calling thread runs group 0 while scoped helpers run the others, and all
+/// join before the next chunk. No predictor's training sequence depends on
+/// the split, and the per-branch tables are built in id order — the order
+/// in which a sequential run first meets each branch — so the result is
+/// identical for every thread count and to [`simulate_per_branch`].
+///
+/// # Errors
+///
+/// Returns the source's [`TraceIoError`] when its scan fails.
+pub fn simulate_batch_parallel(
+    predictors: &mut [Box<dyn Predictor>],
+    source: &dyn TraceSource,
+    threads: usize,
+) -> Result<Vec<PerBranchStats>, TraceIoError> {
+    let threads = threads.clamp(1, predictors.len().max(1));
+    let mut groups: Vec<Vec<Lane<'_>>> = (0..threads).map(|_| Vec::new()).collect();
+    for (index, predictor) in predictors.iter_mut().enumerate() {
+        groups[index % threads].push(Lane {
+            index,
+            predictor: predictor.as_mut(),
+            counts: Vec::new(),
+        });
+    }
+    let mut ids: FxHashMap<Pc, u32> = FxHashMap::default();
+    let mut pcs: Vec<Pc> = Vec::new();
+    let mut chunk_ids: Vec<u32> = Vec::new();
     source.scan(&mut |chunk| {
+        chunk_ids.clear();
         for rec in chunk.iter().filter(|r| r.is_conditional()) {
-            let site = BranchSite::from(rec);
-            for (predictor, stat) in predictors.iter_mut().zip(stats.iter_mut()) {
-                let pred = predictor.predict(site);
-                stat.record(rec.pc, pred == rec.taken);
-                predictor.update(site, rec.taken);
-            }
+            let id = *ids.entry(rec.pc).or_insert_with(|| {
+                pcs.push(rec.pc);
+                (pcs.len() - 1) as u32
+            });
+            chunk_ids.push(id);
         }
+        let (chunk_ids, branches) = (&chunk_ids[..], pcs.len());
+        if groups.len() == 1 || chunk.len() < BATCH_SPLIT_MIN_RECORDS {
+            for lane in groups.iter_mut().flatten() {
+                lane.run(chunk, chunk_ids, branches);
+            }
+            return;
+        }
+        let (own, helpers) = groups.split_first_mut().expect("at least one group");
+        std::thread::scope(|s| {
+            for group in helpers {
+                s.spawn(move || {
+                    for lane in group {
+                        lane.run(chunk, chunk_ids, branches);
+                    }
+                });
+            }
+            for lane in own {
+                lane.run(chunk, chunk_ids, branches);
+            }
+        });
     })?;
-    Ok(stats)
+    let mut lanes: Vec<Lane<'_>> = groups.into_iter().flatten().collect();
+    lanes.sort_unstable_by_key(|lane| lane.index);
+    Ok(lanes
+        .into_iter()
+        .map(|lane| pcs.iter().copied().zip(lane.counts).collect())
+        .collect())
+}
+
+/// One predictor of a batch and its counts, indexed by dense branch id.
+struct Lane<'a> {
+    index: usize,
+    predictor: &'a mut dyn Predictor,
+    counts: Vec<PredictionStats>,
+}
+
+impl Lane<'_> {
+    /// Predicts and trains over one chunk; `ids` holds the dense id of each
+    /// conditional record, `branches` the number of ids assigned so far.
+    fn run(&mut self, chunk: &[BranchRecord], ids: &[u32], branches: usize) {
+        self.counts.resize(branches, PredictionStats::default());
+        for (rec, &id) in chunk.iter().filter(|r| r.is_conditional()).zip(ids) {
+            let site = BranchSite::from(rec);
+            self.counts[id as usize].record(self.predictor.predict(site) == rec.taken);
+            self.predictor.update(site, rec.taken);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::statics::StaticTaken;
-    use bp_trace::BranchRecord;
+    use bp_trace::BranchKind;
+    use std::cell::Cell;
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
 
     #[test]
     fn stats_math() {
@@ -246,31 +332,175 @@ mod tests {
         assert_eq!(pb.total(), s);
     }
 
+    /// Chunks `records` at `chunk` records and counts passes and records.
+    struct Counting<'a> {
+        records: &'a [BranchRecord],
+        chunk: usize,
+        passes: Cell<u64>,
+        scanned: Cell<u64>,
+    }
+
+    impl<'a> Counting<'a> {
+        fn new(records: &'a [BranchRecord], chunk: usize) -> Self {
+            Counting {
+                records,
+                chunk,
+                passes: Cell::new(0),
+                scanned: Cell::new(0),
+            }
+        }
+    }
+
+    impl TraceSource for Counting<'_> {
+        fn scan(&self, visit: &mut dyn FnMut(&[BranchRecord])) -> Result<(), TraceIoError> {
+            self.passes.set(self.passes.get() + 1);
+            for chunk in self.records.chunks(self.chunk) {
+                self.scanned.set(self.scanned.get() + chunk.len() as u64);
+                visit(chunk);
+            }
+            Ok(())
+        }
+    }
+
+    /// `n` records over a few dozen pcs, every fifth one a call.
+    fn mixed_records(n: usize) -> Vec<BranchRecord> {
+        let mut x = 11u64;
+        (0..n)
+            .map(|i| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let rec = BranchRecord::conditional(0x40 + 4 * (x >> 59), x >> 58 & 1 == 1);
+                if i % 5 == 4 {
+                    BranchRecord {
+                        kind: BranchKind::Call,
+                        ..rec
+                    }
+                } else {
+                    rec
+                }
+            })
+            .collect()
+    }
+
+    fn small_zoo() -> Vec<Box<dyn Predictor>> {
+        vec![
+            Box::new(StaticTaken),
+            Box::new(crate::Smith::new(4)),
+            Box::new(crate::Gshare::new(6)),
+            Box::new(crate::Pas::new(4, 3, 1)),
+            Box::new(crate::PasInterferenceFree::new(6)),
+        ]
+    }
+
     #[test]
     fn batch_source_matches_per_trace_simulation() {
-        let mut recs = Vec::new();
-        let mut x = 11u64;
-        for _ in 0..300 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            recs.push(BranchRecord::conditional(
-                0x40 + (x >> 62),
-                x >> 61 & 1 == 1,
-            ));
+        let records = mixed_records(3 * BATCH_SPLIT_MIN_RECORDS + 17);
+        let trace = Trace::from_records(records.clone());
+        let direct: Vec<PerBranchStats> = small_zoo()
+            .iter_mut()
+            .map(|p| simulate_per_branch(p.as_mut(), &trace))
+            .collect();
+        let same = |got: Vec<PerBranchStats>, label: &str| {
+            for (g, d) in got.iter().zip(&direct) {
+                assert_eq!(g.total(), d.total(), "{label}");
+                assert!(g.iter().eq(d.iter()), "{label}: per-branch tables differ");
+            }
+            assert_eq!(got.len(), direct.len(), "{label}");
+        };
+        same(simulate_batch(&mut small_zoo(), &trace), "in memory");
+        let source = simulate_batch_source(&mut small_zoo(), &trace);
+        same(source.unwrap(), "source");
+        for threads in [1, 2, 3, 6] {
+            for chunk in [
+                BATCH_SPLIT_MIN_RECORDS - 1,
+                BATCH_SPLIT_MIN_RECORDS,
+                BATCH_SPLIT_MIN_RECORDS + 1,
+                records.len(),
+            ] {
+                let got = simulate_batch_parallel(
+                    &mut small_zoo(),
+                    &Counting::new(&records, chunk),
+                    threads,
+                );
+                same(got.unwrap(), &format!("{threads} threads, chunk {chunk}"));
+            }
         }
-        let trace = Trace::from_records(recs);
-        let mk = || -> Vec<Box<dyn Predictor>> {
-            vec![Box::new(StaticTaken), Box::new(crate::Smith::new(4))]
-        };
-        let direct: Vec<_> = {
-            let mut ps = mk();
-            ps.iter_mut()
-                .map(|p| simulate_per_branch(p.as_mut(), &trace))
-                .collect()
-        };
-        let batched = simulate_batch(&mut mk(), &trace);
-        let streamed = simulate_batch_source(&mut mk(), &trace).unwrap();
-        assert_eq!(direct, batched);
-        assert_eq!(direct, streamed);
+    }
+
+    #[test]
+    fn a_batch_makes_one_pass_over_the_records() {
+        let records = mixed_records(2 * BATCH_SPLIT_MIN_RECORDS + 3);
+        for threads in [1, 2, 6] {
+            let source = Counting::new(&records, BATCH_SPLIT_MIN_RECORDS);
+            simulate_batch_parallel(&mut small_zoo(), &source, threads).unwrap();
+            assert_eq!(source.passes.get(), 1, "{threads} threads");
+            assert_eq!(
+                source.scanned.get(),
+                records.len() as u64,
+                "{threads} threads"
+            );
+        }
+    }
+
+    /// Logs the thread that trains it on the first record of every chunk
+    /// of `chunk` records (the trace is all conditionals).
+    struct Witness {
+        chunk: u64,
+        seen: u64,
+        log: Arc<Mutex<Vec<(u64, ThreadId)>>>,
+    }
+
+    impl Predictor for Witness {
+        fn name(&self) -> String {
+            "witness".to_owned()
+        }
+
+        fn predict(&self, _: BranchSite) -> bool {
+            true
+        }
+
+        fn update(&mut self, _: BranchSite, _: bool) {
+            if self.seen.is_multiple_of(self.chunk) {
+                let entry = (self.seen / self.chunk, std::thread::current().id());
+                self.log.lock().unwrap().push(entry);
+            }
+            self.seen += 1;
+        }
+    }
+
+    #[test]
+    fn a_batch_runs_on_at_most_threads_threads_per_chunk() {
+        let chunk = BATCH_SPLIT_MIN_RECORDS;
+        let records: Vec<BranchRecord> = (0..2 * chunk + 5)
+            .map(|i| BranchRecord::conditional(0x40 + 4 * (i as u64 % 7), i % 3 == 0))
+            .collect();
+        for threads in [1, 2, 3, 8] {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let mut zoo: Vec<Box<dyn Predictor>> = (0..5)
+                .map(|_| -> Box<dyn Predictor> {
+                    Box::new(Witness {
+                        chunk: chunk as u64,
+                        seen: 0,
+                        log: Arc::clone(&log),
+                    })
+                })
+                .collect();
+            simulate_batch_parallel(&mut zoo, &Counting::new(&records, chunk), threads).unwrap();
+            let log = log.lock().unwrap();
+            for c in 0..3 {
+                let mut ids: Vec<ThreadId> = log
+                    .iter()
+                    .filter(|(i, _)| *i == c)
+                    .map(|&(_, id)| id)
+                    .collect();
+                assert_eq!(ids.len(), 5, "every predictor trains on chunk {c}");
+                assert!(ids.contains(&std::thread::current().id()));
+                ids.sort_unstable_by_key(|id| format!("{id:?}"));
+                ids.dedup();
+                // The short tail chunk runs inline on the calling thread.
+                let want = if c == 2 { 1 } else { threads.min(5) };
+                assert_eq!(ids.len(), want, "{threads} threads, chunk {c}");
+            }
+        }
     }
 
     #[test]
@@ -279,7 +509,7 @@ mod tests {
             pc: 1,
             target: 2,
             taken: true,
-            kind: bp_trace::BranchKind::Call,
+            kind: BranchKind::Call,
         }]);
         let s = simulate(&mut StaticTaken, &trace);
         assert_eq!(s.predictions, 0);

@@ -4,12 +4,14 @@
 use proptest::prelude::*;
 
 use bp_predictors::{
-    simulate, simulate_batch, simulate_per_branch, BackwardTaken, BlockPattern, BranchSite, Gag,
-    Gas, Gshare, GshareInterferenceFree, Gskew, Hybrid, IdealStatic, InterferenceGshare, KthAgo,
-    LoopPredictor, Pag, Pas, PasInterferenceFree, PathBased, PatternHistoryTable, Predictor,
-    SaturatingCounter, ShiftHistory, Smith, StaticNotTaken, StaticTaken,
+    simulate, simulate_batch, simulate_batch_parallel, simulate_per_branch, BackwardTaken,
+    BlockPattern, BranchSite, Gag, Gas, Gshare, GshareInterferenceFree, Gskew, Hybrid, IdealStatic,
+    InterferenceGshare, KthAgo, LoopPredictor, Pag, Pas, PasInterferenceFree, PathBased,
+    PatternHistoryTable, PerBranchStats, Perceptron, Predictor, SaturatingCounter, ShiftHistory,
+    Smith, StaticNotTaken, StaticTaken, Tage,
 };
-use bp_trace::{BranchProfile, Trace};
+use bp_trace::io::TraceIoError;
+use bp_trace::{BranchKind, BranchProfile, BranchRecord, Trace, TraceSource};
 
 /// This crate's historical generator parameters, over the shared
 /// [`bp_trace::testgen`] strategy.
@@ -39,6 +41,89 @@ fn all_predictors() -> Vec<Box<dyn Predictor>> {
         Box::new(Gskew::new(6, 6)),
         Box::new(InterferenceGshare::new(6)),
     ]
+}
+
+/// The batch tests' zoo: every predictor under test plus the modern pair.
+fn batch_zoo() -> Vec<Box<dyn Predictor>> {
+    let mut zoo = all_predictors();
+    zoo.push(Box::new(Tage::new(2, 6)));
+    zoo.push(Box::new(Perceptron::new(8)));
+    zoo
+}
+
+/// Every zoo predictor is `Send`, so a batch can run it on a helper thread.
+const _: () = {
+    const fn send<T: Send>() {}
+    send::<StaticTaken>();
+    send::<StaticNotTaken>();
+    send::<BackwardTaken>();
+    send::<IdealStatic>();
+    send::<Smith>();
+    send::<Gag>();
+    send::<Gas>();
+    send::<Gshare>();
+    send::<GshareInterferenceFree>();
+    send::<Pag>();
+    send::<Pas>();
+    send::<PasInterferenceFree>();
+    send::<PathBased>();
+    send::<Gskew>();
+    send::<LoopPredictor>();
+    send::<KthAgo>();
+    send::<BlockPattern>();
+    send::<Hybrid<Gshare, Pas>>();
+    send::<InterferenceGshare>();
+    send::<Tage>();
+    send::<Perceptron>();
+    send::<Box<dyn Predictor>>();
+};
+
+/// `arb_trace` with a call, return or jump record spliced in before some
+/// conditionals; predictors must skip them wherever they fall.
+fn arb_mixed_trace(max: usize) -> impl Strategy<Value = Trace> {
+    (arb_trace(max), prop::collection::vec(0u8..8, 0..max)).prop_map(|(trace, kinds)| {
+        let mut records = Vec::new();
+        for (i, rec) in trace.records().iter().enumerate() {
+            let kind = match kinds.get(i) {
+                Some(1) => Some(BranchKind::Call),
+                Some(2) => Some(BranchKind::Return),
+                Some(3) => Some(BranchKind::Jump),
+                _ => None,
+            };
+            if let Some(kind) = kind {
+                records.push(BranchRecord { kind, ..*rec });
+            }
+            records.push(*rec);
+        }
+        Trace::from_records(records)
+    })
+}
+
+/// A record slice re-framed into chunks of `chunk` records.
+struct Rechunked<'a> {
+    records: &'a [BranchRecord],
+    chunk: usize,
+}
+
+impl TraceSource for Rechunked<'_> {
+    fn scan(&self, visit: &mut dyn FnMut(&[BranchRecord])) -> Result<(), TraceIoError> {
+        self.records.chunks(self.chunk).for_each(visit);
+        Ok(())
+    }
+}
+
+/// Asserts a batch equals the sequential runs branch by branch, in the
+/// per-branch tables' iteration order too (rendered output follows it).
+fn assert_same_batch(got: &[PerBranchStats], want: &[PerBranchStats], label: &str) {
+    assert_eq!(got.len(), want.len(), "{label}");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.total(), w.total(), "{label}: predictor {i}");
+        assert_eq!(
+            g.iter().collect::<Vec<_>>(),
+            w.iter().collect::<Vec<_>>(),
+            "{label}: predictor {i}"
+        );
+    }
 }
 
 proptest! {
@@ -128,17 +213,27 @@ proptest! {
     }
 
     #[test]
-    fn batch_simulation_matches_sequential(trace in arb_trace(300)) {
+    fn batch_simulation_matches_sequential(trace in arb_mixed_trace(300)) {
         // One single-pass batch over N predictors must equal N independent
-        // sequential runs, predictor by predictor and branch by branch —
-        // the evaluation engine's prewarm correctness rests on this.
-        let mut batch = all_predictors();
-        let batched = simulate_batch(&mut batch, &trace);
-        prop_assert_eq!(batched.len(), batch.len());
-        for (mut p, batched_stats) in all_predictors().into_iter().zip(batched) {
-            let sequential = simulate_per_branch(p.as_mut(), &trace);
-            prop_assert_eq!(&batched_stats, &sequential, "{}", p.name());
+        // sequential runs, predictor by predictor and branch by branch, for
+        // any thread count and any chunking — the evaluation engine's
+        // prewarm correctness rests on this.
+        let sequential: Vec<PerBranchStats> = batch_zoo()
+            .iter_mut()
+            .map(|p| simulate_per_branch(p.as_mut(), &trace))
+            .collect();
+        let n = sequential.len();
+        let records = trace.records();
+        for threads in [1, 2, 3, n + 1] {
+            let batched = simulate_batch_parallel(&mut batch_zoo(), &trace, threads).unwrap();
+            assert_same_batch(&batched, &sequential, &format!("{threads} threads"));
+            for chunk in [1, 63, 64, 65] {
+                let source = Rechunked { records, chunk };
+                let batched = simulate_batch_parallel(&mut batch_zoo(), &source, threads).unwrap();
+                assert_same_batch(&batched, &sequential, &format!("{threads} threads, chunk {chunk}"));
+            }
         }
+        assert_same_batch(&simulate_batch(&mut batch_zoo(), &trace), &sequential, "default");
     }
 
     #[test]
